@@ -9,8 +9,8 @@
 //!      monotone, and per-rank logical clocks are monotone except across
 //!      recovery resets ([`mvr_obs::validate_records`]);
 //!   3. the dumped JSONL is byte-identical to re-rendering the timeline
-//!      (the vendored `serde_json` is write-only, so "parse and compare"
-//!      is done in reverse: regenerate and string-compare);
+//!      (stricter than parse-and-compare: it also pins field order and
+//!      formatting);
 //!   4. the Chrome-trace/Perfetto export exists and is non-trivial;
 //!   5. the timeline actually captured the storm (chaos kills) and the
 //!      protocol reacting to it (restart/recovery records).

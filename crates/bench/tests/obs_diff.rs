@@ -176,4 +176,14 @@ fn usage_errors_exit_two() {
     assert_eq!(code, 2);
     let (code, _, stderr) = run_obs_diff(&dir, &["missing-a.json", "missing-b.json"]);
     assert_eq!(code, 2, "stderr:\n{stderr}");
+    // A malformed profile, truncated or of the wrong shape, is an input
+    // error too.
+    let bad = dir.join("bad-profile.json");
+    for body in [r#"{"records":3,"#, r#"{"records":3,"timings":{}}"#] {
+        std::fs::write(&bad, body).expect("write profile");
+        let bad = bad.to_str().unwrap();
+        let (code, _, stderr) = run_obs_diff(&dir, &[bad, bad]);
+        assert_eq!(code, 2, "{body}: stderr:\n{stderr}");
+        assert!(stderr.contains("not a profile"), "{stderr}");
+    }
 }

@@ -21,7 +21,6 @@ use crate::event::{FlightRecord, ProtoEvent};
 use crate::span::{SpanKey, SpanSet};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
 use std::path::Path;
 
 /// Category of a happens-before edge — the component a hop's wall
@@ -387,12 +386,7 @@ pub fn write_flow_trace(path: &Path, spans: &SpanSet) -> std::io::Result<()> {
             );
         }
     }
-    let body = format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    );
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(body.as_bytes())
+    crate::dump::write_trace_file(path, &events)
 }
 
 #[cfg(test)]

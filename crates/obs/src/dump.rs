@@ -1,16 +1,19 @@
-//! Crash-dump writers and validators: the merged JSONL timeline, the
-//! Chrome-trace/Perfetto export, schema validation, and first-divergence
-//! triage.
+//! Crash-dump writers, readers and validators: the merged JSONL
+//! timeline, the Chrome-trace/Perfetto export, schema validation, and
+//! first-divergence triage.
 //!
-//! The vendored `serde_json` is write-only (no parser), so validation
-//! works structurally: every record is round-tripped through bincode
-//! and re-rendered to JSON for byte comparison against the dump file,
-//! and the per-rank logical clocks are checked for monotonicity
-//! (allowing the resets that legitimately accompany recovery).
+//! Writer and reader share one codec: lines are rendered by
+//! `serde_json::to_string` and read back by `serde_json::from_str`
+//! through the same derived impls, so a new event variant or header
+//! field needs no reader code. Validation additionally round-trips
+//! every record through bincode and checks the per-rank logical clocks
+//! for monotonicity (allowing the resets that legitimately accompany
+//! recovery).
 
 use crate::event::{FlightRecord, ProtoEvent};
 use crate::skew::{RankOffset, RankTrack, SkewEstimate};
-use serde::Serialize;
+use serde::value::{from_value, Value};
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
@@ -114,7 +117,7 @@ pub fn jsonl_line(rec: &FlightRecord) -> String {
 /// Metadata carried by the first line of a JSONL dump, so a reader can
 /// tell a complete timeline from a ring-truncated one without access to
 /// the live hub.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DumpHeader {
     /// Records in the dump body (lines after the header).
     pub records: u64,
@@ -137,7 +140,7 @@ pub struct DumpHeader {
     pub unconstrained: Vec<u32>,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct HeaderLine {
     header: DumpHeader,
 }
@@ -149,6 +152,53 @@ pub fn header_line(header: &DumpHeader) -> String {
         header: header.clone(),
     })
     .expect("DumpHeader serializes to JSON")
+}
+
+/// Decode one JSONL record line.
+pub fn parse_record_line(line: &str) -> Result<FlightRecord, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+/// Decode a header line, or `None` if the line is not a header. Dumps
+/// written before the skew- and drift-corrected merges lack `offsets`,
+/// `track` and `unconstrained`; each absent one reads as empty.
+pub fn parse_header_line(line: &str) -> Option<DumpHeader> {
+    let mut v: Value = serde_json::from_str(line).ok()?;
+    if let Value::Map(top) = &mut v {
+        let header = Value::Str("header".into());
+        if let Some((_, Value::Map(fields))) = top.iter_mut().find(|(k, _)| *k == header) {
+            for key in ["offsets", "track", "unconstrained"] {
+                let key = Value::Str(key.into());
+                if !fields.iter().any(|(k, _)| *k == key) {
+                    fields.push((key, Value::Seq(Vec::new())));
+                }
+            }
+        }
+    }
+    from_value::<HeaderLine, serde_json::Error>(v)
+        .ok()
+        .map(|h| h.header)
+}
+
+/// Decode a whole JSONL dump: optional header line, then records.
+/// Headerless dumps (pre-header format) still parse.
+pub fn parse_dump(text: &str) -> Result<(Option<DumpHeader>, Vec<FlightRecord>), String> {
+    let mut header = None;
+    let mut records = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        if i == 0 {
+            if let Some(h) = parse_header_line(line) {
+                header = Some(h);
+                continue;
+            }
+        }
+        records.push(parse_record_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+    }
+    Ok((header, records))
 }
 
 /// Write the merged timeline as JSONL: one header line, then one record
@@ -289,12 +339,17 @@ pub fn write_chrome_trace(path: &Path, timeline: &[FlightRecord]) -> std::io::Re
             );
         }
     }
+    write_trace_file(path, &events)
+}
+
+/// Write already-rendered Chrome trace events inside the trace-file
+/// envelope `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
+pub(crate) fn write_trace_file(path: &Path, events: &[String]) -> std::io::Result<()> {
     let body = format!(
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
         events.join(",")
     );
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(body.as_bytes())
+    std::fs::write(path, body)
 }
 
 /// Validate a merged timeline against the event schema:
@@ -683,15 +738,12 @@ pub fn merge_dump_files(inputs: &[PathBuf], output: &Path) -> std::io::Result<Me
                 continue;
             }
             if i == 0 {
-                if let Some(h) = crate::jsonparse::parse_header_line(line) {
+                if let Some(h) = parse_header_line(line) {
                     dropped += h.dropped;
                     continue;
                 }
             }
-            all.push(
-                crate::jsonparse::parse_record_line(line)
-                    .map_err(|e| invalid(format!("line {}: {e}", i + 1)))?,
-            );
+            all.push(parse_record_line(line).map_err(|e| invalid(format!("line {}: {e}", i + 1)))?);
         }
     }
     let skew = crate::skew::estimate_skew_drift(&all);
@@ -900,8 +952,7 @@ mod tests {
         assert_eq!(summary.dropped, 0);
         assert!(!summary.skew.is_correction());
         assert!(summary.trace.exists(), "{:?}", summary.trace);
-        let (h, records) =
-            crate::jsonparse::parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
+        let (h, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         assert_eq!(
             h,
             Some(DumpHeader {
@@ -950,7 +1001,7 @@ mod tests {
         assert_eq!(summary.skew.inversions_after, 0);
         assert_eq!(summary.skew.offsets[&1], 4_000_000);
         let body = std::fs::read_to_string(&merged).unwrap();
-        let (h, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
         assert_eq!(
             h.offsets,
@@ -989,7 +1040,7 @@ mod tests {
         drop(sink);
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 6);
-        let (_, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (_, records) = parse_dump(&body).unwrap();
         assert_eq!(records.len(), 6);
     }
 
@@ -1034,8 +1085,7 @@ mod tests {
         let merged = dir.join("merged.jsonl");
         let summary = merge_dump_files(&[base, seg1, seg2], &merged).unwrap();
         assert_eq!(summary.records, 10);
-        let (_, records) =
-            crate::jsonparse::parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
+        let (_, records) = parse_dump(&std::fs::read_to_string(&merged).unwrap()).unwrap();
         let clocks: Vec<u64> = records.iter().map(|r| r.clock).collect();
         assert_eq!(clocks, (1..=10).collect::<Vec<_>>());
     }
@@ -1120,7 +1170,7 @@ mod tests {
         assert_eq!(summary.skew.inversions_after, 0, "{}", summary.summary());
         assert!(!summary.skew.track.is_empty());
         let body = std::fs::read_to_string(&merged).unwrap();
-        let (h, records) = crate::jsonparse::parse_dump(&body).unwrap();
+        let (h, records) = parse_dump(&body).unwrap();
         let h = h.expect("header");
         // The track (not constant offsets) is what the header records.
         assert!(h.offsets.is_empty());
@@ -1147,5 +1197,321 @@ mod tests {
         let s = truncated.summary();
         assert!(s.contains("WARNING"), "{s}");
         assert!(s.contains("7 record(s) lost"), "{s}");
+    }
+
+    #[test]
+    fn scalars_and_containers_parse() {
+        use serde_json::from_str;
+        assert_eq!(from_str::<u64>("42").unwrap(), 42);
+        assert_eq!(from_str::<i64>("-42").unwrap(), -42);
+        assert_eq!(from_str::<i64>("42").unwrap(), 42);
+        assert!(from_str::<u64>("-42").is_err());
+        assert!(from_str::<bool>("true").unwrap());
+        assert_eq!(from_str::<Option<u64>>(" null ").unwrap(), None);
+        assert_eq!(from_str::<Vec<u64>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
+        let obj: RankOffset = from_str(r#"{"rank":1,"offset_ns":-7}"#).unwrap();
+        assert_eq!(
+            obj,
+            RankOffset {
+                rank: 1,
+                offset_ns: -7
+            }
+        );
+    }
+
+    #[test]
+    fn string_escapes_roundtrip() {
+        let v: String =
+            serde_json::from_str(r#""quote \" slash \\ nl \n tab \t u \u0007""#).unwrap();
+        assert_eq!(v, "quote \" slash \\ nl \n tab \t u \u{7}");
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        use serde_json::from_str;
+        assert!(from_str::<std::collections::BTreeMap<String, u64>>("{").is_err());
+        assert!(from_str::<Vec<u64>>("[1,]").is_err());
+        assert!(from_str::<u64>("1.5").is_err());
+        assert!(from_str::<u64>("42 extra").is_err());
+        assert!(from_str::<i64>("-").is_err());
+        assert!(from_str::<i64>("-1.5").is_err());
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_rejected() {
+        let line = |detail: &str| {
+            format!(
+                r#"{{"rank":0,"clock":1,"ts_ns":10,"event":{{"Divergence":{{"detail":"{detail}"}}}}}}"#
+            )
+        };
+        for bad in [
+            r"\uD800\u0041",
+            r"\uDBFF\uDBFF",
+            r"\uD800",
+            r"\uD800x",
+            r"\uDC00",
+            r"\uDFFF\uD800",
+        ] {
+            assert!(parse_record_line(&line(bad)).is_err(), "{bad}");
+        }
+        let paired = parse_record_line(&line(r"\uD83D\uDE00")).unwrap();
+        assert_eq!(
+            paired.event,
+            ProtoEvent::Divergence {
+                detail: "\u{1F600}".into()
+            }
+        );
+    }
+
+    /// One record of every `ProtoEvent` kind.
+    fn every_event_kind() -> Vec<FlightRecord> {
+        use crate::event::SendDisposition;
+        let samples = vec![
+            ProtoEvent::Send {
+                to: 1,
+                clock: 5,
+                bytes: 64,
+                disposition: SendDisposition::Gated,
+            },
+            ProtoEvent::GateDefer {
+                to: 1,
+                clock: 5,
+                queued: 2,
+            },
+            ProtoEvent::GateOpen {
+                released: 2,
+                waited_ns: 900,
+            },
+            ProtoEvent::Deliver {
+                from: 0,
+                sender_clock: 5,
+                receiver_clock: 9,
+                replay: false,
+            },
+            ProtoEvent::DuplicateDropped {
+                from: 0,
+                sender_clock: 5,
+            },
+            ProtoEvent::ElShip {
+                events: 3,
+                from_clock: 7,
+                up_to: 9,
+            },
+            ProtoEvent::ElAck {
+                up_to: 9,
+                batches_retired: 1,
+                rtt_ns: 1200,
+            },
+            ProtoEvent::CkptBegin { seq: 2, bytes: 100 },
+            ProtoEvent::CkptCommit {
+                seq: 2,
+                store_ns: 500,
+            },
+            ProtoEvent::CkptGc {
+                peer: 1,
+                bytes_freed: 40,
+            },
+            ProtoEvent::Restart1 { rank: 3 },
+            ProtoEvent::Restart2 {
+                peer: 1,
+                watermark: 8,
+            },
+            ProtoEvent::RecoveryBegin { restored_clock: 4 },
+            ProtoEvent::ReplayStep {
+                from: 0,
+                sender_clock: 5,
+                receiver_clock: 6,
+            },
+            ProtoEvent::ReplayDone {
+                replayed: 4,
+                replay_ns: 8000,
+            },
+            ProtoEvent::ChaosKill {
+                victim: 2,
+                rekill: true,
+            },
+            ProtoEvent::ServiceKill {
+                service: "el0".into(),
+            },
+            ProtoEvent::Finish { clock: 20 },
+            ProtoEvent::RespawnScheduled {
+                rank: 2,
+                attempt: 1,
+            },
+            ProtoEvent::Divergence {
+                detail: "sum mismatch \"x\"\n".into(),
+            },
+            ProtoEvent::ElReplicaAck {
+                shard: 2,
+                replica: 1,
+                up_to: 33,
+            },
+            ProtoEvent::ElReplicaRevive {
+                shard: 0,
+                replica: 1,
+                caught_up: 12,
+            },
+            ProtoEvent::TransportUp {
+                peer: "cn2".into(),
+                incarnation: 1,
+            },
+            ProtoEvent::TransportDown {
+                peer: "cn2".into(),
+                cause: "eof".into(),
+            },
+        ];
+        samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| rec(i as u32, i as u64, 10_000 + i as u64, event))
+            .collect()
+    }
+
+    #[test]
+    fn every_event_kind_roundtrips_through_the_writer() {
+        for rec in every_event_kind() {
+            let line = jsonl_line(&rec);
+            let back = parse_record_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(back, rec, "{line}");
+        }
+    }
+
+    /// Every byte-boundary prefix of `line` short of the whole line.
+    fn strict_prefixes(line: &str) -> impl Iterator<Item = &str> {
+        (0..line.len())
+            .filter(|&cut| line.is_char_boundary(cut))
+            .map(|cut| &line[..cut])
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_written_line_is_rejected() {
+        for rec in every_event_kind() {
+            let line = jsonl_line(&rec);
+            for prefix in strict_prefixes(&line) {
+                assert!(parse_record_line(prefix).is_err(), "{prefix}");
+            }
+        }
+        let line = header_line(&DumpHeader {
+            records: 9,
+            dropped: 1,
+            offsets: vec![RankOffset {
+                rank: 2,
+                offset_ns: -250,
+            }],
+            track: vec![RankTrack {
+                rank: 1,
+                start_ns: 1_000_000,
+                seg_ns: 250_000,
+                anchors: vec![0, -20, 11_000],
+            }],
+            unconstrained: vec![3, 9],
+        });
+        assert!(parse_header_line(&line).is_some(), "{line}");
+        for prefix in strict_prefixes(&line) {
+            assert!(parse_header_line(prefix).is_none(), "{prefix}");
+        }
+    }
+
+    #[test]
+    fn dump_with_header_parses() {
+        let rec = FlightRecord {
+            rank: 0,
+            clock: 1,
+            ts_ns: 10,
+            event: ProtoEvent::Finish { clock: 1 },
+        };
+        let text = format!(
+            "{}\n{}\n",
+            header_line(&DumpHeader {
+                records: 1,
+                dropped: 2,
+                offsets: Vec::new(),
+                track: Vec::new(),
+                unconstrained: Vec::new(),
+            }),
+            jsonl_line(&rec)
+        );
+        let (header, records) = parse_dump(&text).unwrap();
+        assert_eq!(
+            header,
+            Some(DumpHeader {
+                records: 1,
+                dropped: 2,
+                offsets: Vec::new(),
+                track: Vec::new(),
+                unconstrained: Vec::new(),
+            })
+        );
+        assert_eq!(records, vec![rec]);
+    }
+
+    #[test]
+    fn legacy_header_without_track_fields_still_parses() {
+        // Dumps written before the drift-aware merge lack `track` and
+        // `unconstrained`; both must degrade to empty, not to None.
+        let line = r#"{"header":{"records":5,"dropped":1,"offsets":[{"rank":2,"offset_ns":300}]}}"#;
+        let h = parse_header_line(line).expect("legacy header parses");
+        assert_eq!(h.records, 5);
+        assert_eq!(h.offsets.len(), 1);
+        assert!(h.track.is_empty());
+        assert!(h.unconstrained.is_empty());
+    }
+
+    #[test]
+    fn header_track_and_unconstrained_roundtrip() {
+        let hdr = DumpHeader {
+            records: 7,
+            dropped: 0,
+            offsets: Vec::new(),
+            track: vec![RankTrack {
+                rank: 1,
+                start_ns: 1_000_000,
+                seg_ns: 250_000,
+                anchors: vec![0, 5_000, -20, 11_000],
+            }],
+            unconstrained: vec![3, 9],
+        };
+        let line = header_line(&hdr);
+        assert!(line.contains("\"track\""), "{line}");
+        assert!(line.contains("\"unconstrained\":[3,9]"), "{line}");
+        let back = parse_header_line(&line).expect("header parses");
+        assert_eq!(back, hdr);
+    }
+
+    #[test]
+    fn header_offsets_roundtrip_including_negative() {
+        let hdr = DumpHeader {
+            records: 3,
+            dropped: 0,
+            offsets: vec![
+                RankOffset {
+                    rank: 1,
+                    offset_ns: 5_000_000,
+                },
+                RankOffset {
+                    rank: 2,
+                    offset_ns: -250,
+                },
+            ],
+            track: Vec::new(),
+            unconstrained: Vec::new(),
+        };
+        let line = header_line(&hdr);
+        assert!(line.contains("-250"), "{line}");
+        let back = parse_header_line(&line).expect("header parses");
+        assert_eq!(back, hdr);
+    }
+
+    #[test]
+    fn headerless_dump_still_parses() {
+        let rec = FlightRecord {
+            rank: 0,
+            clock: 1,
+            ts_ns: 10,
+            event: ProtoEvent::Restart1 { rank: 0 },
+        };
+        let (header, records) = parse_dump(&format!("{}\n", jsonl_line(&rec))).unwrap();
+        assert_eq!(header, None);
+        assert_eq!(records, vec![rec]);
     }
 }
